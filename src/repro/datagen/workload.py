@@ -129,12 +129,14 @@ class DistributedDataset:
         require_positive(pattern_length, "pattern_length")
         require_positive(intervals_per_day, "intervals_per_day")
         self._station_ids = list(station_ids)
+        # Membership checks go through the set; the list keeps the order.
+        self._station_set = frozenset(self._station_ids)
         self._users = dict(users)
         self._local: dict[str, dict[str, LocalPattern]] = {
             station: dict(per_station) for station, per_station in local_patterns.items()
         }
         for station in self._local:
-            if station not in self._station_ids:
+            if station not in self._station_set:
                 raise ValueError(f"local patterns reference unknown station {station!r}")
         self._pattern_length = int(pattern_length)
         self._intervals_per_day = int(intervals_per_day)
@@ -194,7 +196,7 @@ class DistributedDataset:
 
     def local_patterns_at(self, station_id: str) -> PatternSet:
         """Pattern set stored at ``station_id`` (empty if the station saw no traffic)."""
-        if station_id not in self._station_ids:
+        if station_id not in self._station_set:
             raise KeyError(f"unknown station {station_id!r}")
         return PatternSet(self._local.get(station_id, {}).values())
 

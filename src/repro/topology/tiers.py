@@ -41,12 +41,26 @@ class TierMap:
     #: Negotiated version of the aggregator↔center trunk hop.
     trunk_wire_version: int = WIRE_VERSION
 
+    def __post_init__(self) -> None:
+        # The station -> region index is derived state, built once per map
+        # (``dataclasses.replace`` re-runs this), and is neither a field nor
+        # pickled, so equality, repr and pickles see only the routing table.
+        # The first region listing a station serves it.
+        index: dict[str, Region] = {}
+        for region in self.regions:
+            for station_id in region.station_ids:
+                index.setdefault(station_id, region)
+        object.__setattr__(self, "_region_by_station", index)
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return (type(self), (self.regions, self.trunk_wire_version))
+
     def region_of(self, station_id: str) -> Region:
         """The region serving ``station_id``."""
-        for region in self.regions:
-            if station_id in region.station_ids:
-                return region
-        raise KeyError(f"station {station_id!r} belongs to no region")
+        try:
+            return self._region_by_station[station_id]
+        except KeyError:
+            raise KeyError(f"station {station_id!r} belongs to no region") from None
 
     @property
     def aggregator_ids(self) -> tuple[str, ...]:

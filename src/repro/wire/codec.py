@@ -670,21 +670,21 @@ def encode(
             f"{WIRE_VERSION_EXT} or later"
         )
     tag, writer = _dispatch(obj)
-    body = bytearray()
-    writer(body, obj)
-    flags = 0
-    payload = bytes(body)
-    if compress:
-        flags |= FLAG_ZLIB
-        payload = zlib.compress(payload, level=6)
     frame = bytearray(MAGIC)
     frame.append(version)
-    frame.append(flags)
+    frame.append(FLAG_ZLIB if compress else 0)
     frame.append(tag)
     if version >= WIRE_VERSION_EXT:
         write_uvarint(frame, len(extension))
         frame += extension
-    frame += payload
+    if compress:
+        body = bytearray()
+        writer(body, obj)
+        frame += zlib.compress(body, level=6)
+    else:
+        # Uncompressed bodies are written straight after the header: one
+        # buffer and one copy out per frame.
+        writer(frame, obj)
     return bytes(frame)
 
 

@@ -100,13 +100,14 @@ class _ChurnState:
                     left.append(station_id)
             elif draw < churn.join_probability:
                 joined.append(station_id)
-        survivors = [s for s in self._active if s not in set(left)]
+        survivors = active - set(left)
         # Keep at least min_active stations up by reviving leavers, in
         # sorted station order (the order `left` was collected in).
-        while len(survivors) + len(joined) < churn.min_active and left:
-            revived = left.pop(0)
-            survivors = [s for s in self._all if s in set(survivors) | {revived}]
-        self._active = sorted(set(survivors) | set(joined))
+        revive = min(len(left), churn.min_active - len(survivors) - len(joined))
+        if revive > 0:
+            survivors.update(left[:revive])
+            del left[:revive]
+        self._active = sorted(survivors | set(joined))
         return (tuple(joined), tuple(left))
 
 

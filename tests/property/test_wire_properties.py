@@ -9,6 +9,7 @@ Three invariants, over randomized artifacts:
 3. compression never changes the decoded artifact.
 """
 
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,32 @@ class TestPayloadRoundTrips:
         decoded = wire.decode(wire.encode(message, compress=compress))
         assert decoded == message
         assert decoded.size_bytes() == message.size_bytes()
+
+    @given(
+        sender=st.text(max_size=12),
+        recipient=st.text(max_size=12),
+        kind=st.sampled_from(list(MessageKind)),
+        payload=st.one_of(
+            st.none(),
+            st.lists(match_reports, max_size=10),
+            wbf_params.map(lambda params: build_wbf(params, "python")),
+        ),
+        wire_version=st.sampled_from(wire.SUPPORTED_WIRE_VERSIONS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_frame_matches_the_inflated_body(
+        self, sender, recipient, kind, payload, wire_version
+    ):
+        # Uncompressed frames write the body straight after the header;
+        # compressed ones write it apart and deflate it.  Both bodies agree.
+        message = Message(sender, recipient, kind, payload, wire_version)
+        twin = Message(sender, recipient, kind, payload, wire_version)
+        plain = message.to_wire()
+        compressed = message.to_wire(compress=True)
+        assert plain == wire.encode(twin)
+        assert compressed == wire.encode(twin, compress=True)
+        header = len(wire.MAGIC) + 3
+        assert zlib.decompress(compressed[header:]) == plain[header:]
 
     @given(value=st.one_of(st.none(), st.booleans(), st.integers(-(2**62), 2**62), identifiers, fractions))
     @settings(max_examples=40, deadline=None)

@@ -1,9 +1,11 @@
 """The tier map: station orders partition into contiguous regional slices."""
 
+import pickle
+
 import pytest
 
 from repro.core.exceptions import ConfigurationError
-from repro.topology import TopologySpec, build_tier_map, region_slices
+from repro.topology import RollingUpgrade, TopologySpec, build_tier_map, region_slices
 from repro.wire import WIRE_VERSION, WIRE_VERSION_EXT
 
 STATIONS = tuple(f"s{i}" for i in range(5))
@@ -87,3 +89,54 @@ class TestBuildTierMap:
         tier_map = build_tier_map(STATIONS, TopologySpec(kind="two-tier", regions=2))
         assert tier_map.trunk_wire_version == WIRE_VERSION
         assert all(r.wire_version == WIRE_VERSION for r in tier_map.regions)
+
+
+class TestRegionIndex:
+    """``region_of`` reads a station index built once per tier map."""
+
+    LARGE = tuple(f"station-{i:05d}" for i in range(10_000))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TopologySpec(kind="two-tier", regions=100),
+            TopologySpec(kind="two-tier", regions=100, stations_per_region=101),
+        ],
+        ids=["balanced", "fixed-width"],
+    )
+    def test_every_station_resolves_to_its_slice_owner(self, spec):
+        tier_map = build_tier_map(self.LARGE, spec)
+        slices = region_slices(len(self.LARGE), spec)
+        for region, (start, stop) in zip(tier_map.regions, slices):
+            for station_id in self.LARGE[start:stop]:
+                assert tier_map.region_of(station_id) is region
+        with pytest.raises(KeyError, match="belongs to no region"):
+            tier_map.region_of("station-99999")
+
+    def test_replaced_map_routes_to_the_renegotiated_regions(self):
+        tier_map = build_tier_map(STATIONS, TopologySpec(kind="two-tier", regions=2))
+        assert tier_map.region_of("s0").wire_version == WIRE_VERSION
+        upgrade = RollingUpgrade(station_order=STATIONS, duration_rounds=4)
+        upgraded = upgrade.tier_map_at(upgrade.duration_rounds, tier_map)
+        for station_id in STATIONS:
+            region = upgraded.region_of(station_id)
+            assert region.wire_version == WIRE_VERSION_EXT
+            assert any(region is r for r in upgraded.regions)
+        # The original map keeps its own index.
+        assert tier_map.region_of("s4").wire_version == WIRE_VERSION
+
+    def test_index_is_invisible_to_equality_repr_and_pickle(self):
+        spec = TopologySpec(kind="two-tier", regions=2)
+        tier_map = build_tier_map(STATIONS, spec)
+        twin = build_tier_map(STATIONS, spec)
+        assert tier_map == twin and hash(tier_map) == hash(twin)
+        assert repr(tier_map) == (
+            f"TierMap(regions={tier_map.regions!r}, "
+            f"trunk_wire_version={tier_map.trunk_wire_version!r})"
+        )
+        payload = pickle.dumps(tier_map)
+        assert b"_region_by_station" not in payload
+        restored = pickle.loads(payload)
+        assert restored == tier_map
+        assert repr(restored) == repr(tier_map)
+        assert restored.region_of("s3") == tier_map.region_of("s3")

@@ -195,6 +195,71 @@ class TestDistributedDatasetValidation:
             DistributedDataset(["bs-a"], users, local, 1, 24)
 
 
+class TestStationLookups:
+    """Station membership is set-backed; order and errors are unchanged."""
+
+    ORDER = ["bs-c", "bs-a", "bs-b", "bs-d"]
+
+    @staticmethod
+    def make(order, local):
+        from repro.datagen.mobility import UserMobility
+        from repro.datagen.workload import UserProfile
+
+        users = {
+            user_id: UserProfile(
+                user_id, "student", UserMobility(user_id, order[0], order[0], order[0])
+            )
+            for per_station in local.values()
+            for user_id in per_station
+        }
+        return DistributedDataset(order, users, local, 2, 24)
+
+    def local(self):
+        return {
+            "bs-a": {
+                "u2": LocalPattern("u2", [1, 0], "bs-a"),
+                "u1": LocalPattern("u1", [0, 3], "bs-a"),
+            },
+            "bs-c": {"u1": LocalPattern("u1", [2, 2], "bs-c")},
+        }
+
+    def test_station_order_is_unchanged(self):
+        dataset = self.make(self.ORDER, self.local())
+        assert dataset.station_ids == self.ORDER
+        assert dataset.station_count == len(self.ORDER)
+        dataset.station_ids.reverse()
+        assert dataset.station_ids == self.ORDER
+
+    def test_unknown_station_lookup_raises_key_error(self):
+        dataset = self.make(self.ORDER, self.local())
+        with pytest.raises(KeyError, match="unknown station"):
+            dataset.local_patterns_at("bs-z")
+
+    def test_construction_rejects_patterns_at_unknown_stations(self):
+        local = self.local()
+        local["bs-z"] = {"u3": LocalPattern("u3", [1, 1], "bs-z")}
+        with pytest.raises(ValueError, match="unknown station 'bs-z'"):
+            self.make(self.ORDER, local)
+
+    def test_pattern_sets_equal_the_stored_patterns_in_order(self):
+        local = self.local()
+        dataset = self.make(self.ORDER, local)
+        for station_id in self.ORDER:
+            expected = list(local.get(station_id, {}).values())
+            assert list(dataset.local_patterns_at(station_id)) == expected
+
+    def test_pattern_sets_match_the_per_user_fragments(self, small_dataset):
+        by_station: dict[str, list[LocalPattern]] = {}
+        for user_id in small_dataset.user_ids:
+            for fragment in small_dataset.local_patterns_for(user_id):
+                by_station.setdefault(fragment.station_id, []).append(fragment)
+        for station_id in small_dataset.station_ids:
+            patterns = list(small_dataset.local_patterns_at(station_id))
+            assert sorted(patterns, key=lambda p: p.user_id) == sorted(
+                by_station.get(station_id, []), key=lambda p: p.user_id
+            )
+
+
 class TestBuildQueryWorkload:
     def test_query_count(self, small_dataset):
         workload = build_query_workload(small_dataset, 5, epsilon=0)
