@@ -164,24 +164,26 @@ class BaseStationMatcher:
     ) -> dict[str, frozenset[Fraction]]:
         """Algorithm 2's per-candidate test over precomputed position rows.
 
-        The bit membership of every sampled value is tested in one vectorized
-        backend call (unless the caller already did); the sparse weight
-        intersection runs only when all bits pass, which on real workloads is
-        the rare case.
+        With the mask index on, the probe alone decides: a non-empty result
+        implies every probed bit is set.  With it off, the bit membership of
+        every sampled value is tested in one vectorized backend call (unless
+        the caller already did), and the sparse weight intersection runs only
+        when all bits pass, which on real workloads is the rare case.
         """
-        if not bits_checked and not all(wbf.bits_all_set_rows(rows)):
-            return {}
         if wbf.MASK_INDEX_ENABLED:
             # One integer-mask AND across all sampled positions: equivalent to
             # intersecting per-row weight sets (intersection is associative and
             # the result is empty iff any partial intersection is), but without
-            # building a Python set per row.
+            # building a Python set per row.  The index only has keys at
+            # weighted positions, which are set bits, so no bit pre-check.
             common: "frozenset | set | None" = wbf.consistent_weights_over(
                 position for row in rows for position in row
             )
             if not common:
                 return {}
         else:
+            if not bits_checked and not all(wbf.bits_all_set_rows(rows)):
+                return {}
             common = None
             for row in rows:
                 weights = wbf.query_weights_at(row, bits_checked=True)
@@ -200,11 +202,17 @@ class BaseStationMatcher:
     def match_against(self, encoded: EncodedQueryBatch) -> list[MatchReport]:
         """Match every locally stored pattern against the received WBF.
 
-        The bit pre-check of *all* candidates' sampled values runs as one
-        vectorized row-test per station; only candidates whose every sampled
-        value hits all-1 bits proceed to the weight-intersection stage.  One
-        report is emitted per (user, query, consistent weight); the similarity
-        ranker later selects one weight per reporting station when summing.
+        With the mask index on, each candidate goes straight to the mask probe:
+        the index has keys only at positions with attached weights, which are
+        set bits (:meth:`WeightedBloomFilter.from_state` refuses anything
+        else), so a non-empty probe already implies every sampled bit is set.
+        With the index switched off, the bit pre-check of *all* candidates'
+        sampled values runs as one vectorized row-test per station, and only
+        candidates whose every sampled value hits all-1 bits proceed to the
+        weight-intersection stage.  One report is emitted per (user, query,
+        consistent weight), in candidate order, then query id and weight
+        order; the similarity ranker later selects one weight per reporting
+        station when summing.
         """
         if encoded.config.sample_count != self._config.sample_count:
             raise MatchingError(
@@ -217,19 +225,25 @@ class BaseStationMatcher:
             (user_id, self._rows_for_items(items, wbf))
             for user_id, items in self._candidate_items
         ]
-        flat_rows = [row for _, rows in candidate_rows for row in rows]
-        passed = wbf.bits_all_set_rows(flat_rows)
+        if not wbf.MASK_INDEX_ENABLED:
+            flat_rows = [row for _, rows in candidate_rows for row in rows]
+            passed = wbf.bits_all_set_rows(flat_rows)
+            survivors = []
+            offset = 0
+            for user_id, rows in candidate_rows:
+                if all(passed[offset : offset + len(rows)]):
+                    survivors.append((user_id, rows))
+                offset += len(rows)
+            candidate_rows = survivors
         reports: list[MatchReport] = []
-        offset = 0
         for user_id, rows in candidate_rows:
-            row_count = len(rows)
-            bits_ok = all(passed[offset : offset + row_count])
-            offset += row_count
-            if not bits_ok:
-                continue
             matched = self._match_rows(rows, wbf, bits_checked=True)
-            for query_id, weights in matched.items():
-                for weight in weights:
+            # Query ids, then weights, ascending: set iteration order follows
+            # the process's string-hash seed, so a candidate matching several
+            # queries would otherwise upload its reports in a different order
+            # (different bytes) in every process.
+            for query_id in sorted(matched):
+                for weight in sorted(matched[query_id]):
                     reports.append(
                         MatchReport(
                             user_id=user_id,

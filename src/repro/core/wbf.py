@@ -112,7 +112,10 @@ class WeightedBloomFilter:
 
         ``bits`` is the canonical bit-array serialization and ``weights`` maps
         bit positions to the weight sets attached there; ``backend`` is the
-        local storage choice and never travels on the wire.
+        local storage choice and never travels on the wire.  Raises
+        :class:`ValueError` when a weight is attached at a bit that is not
+        set: every other method keeps weights on set bits only, and the mask
+        probe (:meth:`consistent_weights_over`) relies on it.
         """
         wbf = cls(bit_count, hash_count, seed=seed, backend=backend)
         wbf._bits = BitArray.from_bytes(bit_count, bits, backend=backend)
@@ -120,10 +123,14 @@ class WeightedBloomFilter:
         # per distinct index combination, so positions sharing a weight set
         # share one object instead of each copying it into a fresh set.
         # Insertions copy-on-write (see :meth:`add`).
-        wbf._weights = {
-            int(position): attached if type(attached) is frozenset else set(attached)
-            for position, attached in weights.items()
-        }
+        attached_at: dict[int, "set[Hashable] | frozenset"] = {}
+        for position, attached in weights.items():
+            position = int(position)
+            # Canonical layout: bit ``i`` is bit ``i & 7`` of byte ``i >> 3``.
+            if not (0 <= position < bit_count and bits[position >> 3] >> (position & 7) & 1):
+                raise ValueError(f"weights attached at bit {position}, which is not set")
+            attached_at[position] = attached if type(attached) is frozenset else set(attached)
+        wbf._weights = attached_at
         wbf._item_count = int(item_count)
         return wbf
 
@@ -354,15 +361,17 @@ class WeightedBloomFilter:
         return index
 
     def consistent_weights_over(self, positions: Iterable[int]) -> frozenset:
-        """Weights attached at **every** one of ``positions`` (bits assumed set).
+        """Weights attached at **every** one of ``positions``.
 
-        Equivalent to intersecting :meth:`query_weights_at` (with
-        ``bits_checked=True``) over all the positions at once: a position with
-        no attached weights, or an empty cross-position intersection, yields
-        the empty frozenset.  An empty ``positions`` iterable also yields the
-        empty frozenset — matching the matcher's "no rows → no match" rule.
-        The caller must have verified bit membership (e.g. via
-        :meth:`bits_all_set_rows`) first.
+        Equivalent to intersecting :meth:`query_weights_at` over all the
+        positions at once: a position with no attached weights, or an empty
+        cross-position intersection, yields the empty frozenset.  An empty
+        ``positions`` iterable also yields the empty frozenset — matching the
+        matcher's "no rows → no match" rule.  No bit pre-check is needed: the
+        index has keys only at positions with attached weights, and weights
+        sit only on set bits (:meth:`add` and :meth:`insert_many` set the bit
+        with the weight, :meth:`from_state` refuses a weight on a clear bit),
+        so a non-empty result implies every probed bit is set.
         """
         revision, weight_list, masks, memo = self._weight_mask_index()
         empty: frozenset = frozenset()

@@ -15,6 +15,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.utils.serialization import MESSAGE_OVERHEAD_BYTES, estimate_size_bytes
+from repro.wire.codec import (
+    WIRE_VERSION,
+    decode,
+    encode,
+    encode_cached,
+    message_envelope_size,
+    object_revision,
+)
+from repro.wire.errors import UnsupportedWireTypeError, WireFormatError
 
 #: Number of times byte accounting fell back from real codec bytes to the
 #: estimate model since the last :func:`reset_estimated_size_fallbacks`.
@@ -94,15 +103,13 @@ class Message:
         payload has no wire encoding; uncompressed encodings are memoized per
         message instance.
         """
-        from repro import wire
-
         if compress:
-            return wire.encode(self, compress=True)
-        revision = wire.object_revision(self.payload)
-        cached = getattr(self, "_wire_cache", None)
+            return encode(self, compress=True)
+        revision = object_revision(self.payload)
+        cached = self.__dict__.get("_wire_cache")
         if cached is not None and cached[0] == revision:
             return cached[1]
-        data = wire.encode(self)
+        data = encode(self)
         object.__setattr__(self, "_wire_cache", (revision, data))
         return data
 
@@ -113,11 +120,9 @@ class Message:
         Raises :class:`~repro.wire.errors.WireFormatError` when ``data`` is not
         a message encoding.
         """
-        from repro import wire
-
-        decoded = wire.decode(data, backend=backend)
+        decoded = decode(data, backend=backend)
         if not isinstance(decoded, cls):
-            raise wire.WireFormatError(
+            raise WireFormatError(
                 f"buffer holds a {type(decoded).__name__}, not a Message"
             )
         return decoded
@@ -132,29 +137,25 @@ class Message:
         :class:`~repro.wire.errors.UnsupportedWireTypeError` for payloads
         outside the codec's vocabulary.
         """
-        from repro import wire
-
-        revision = wire.object_revision(self.payload)
-        cached = getattr(self, "_payload_wire_cache", None)
+        revision = object_revision(self.payload)
+        cached = self.__dict__.get("_payload_wire_cache")
         if cached is not None and cached[0] == revision:
             return cached[1]
-        if self.wire_version == wire.WIRE_VERSION:
-            data = wire.encode_cached(self.payload)
+        if self.wire_version == WIRE_VERSION:
+            data = encode_cached(self.payload)
         else:
             # Negotiated non-default hop: the codec's identity cache only
             # holds default-version encodings, so encode afresh (the
             # per-message memo below still makes repeat charges O(1)).
-            data = wire.encode(self.payload, version=self.wire_version)
+            data = encode(self.payload, version=self.wire_version)
         object.__setattr__(self, "_payload_wire_cache", (revision, data))
         return data
 
     def payload_bytes(self) -> int:
         """Serialized size of the payload alone (real codec bytes when possible)."""
-        from repro import wire
-
         try:
             return len(self.payload_wire())
-        except wire.UnsupportedWireTypeError:
+        except UnsupportedWireTypeError:
             _note_estimate_fallback(self.payload)
             return estimate_size_bytes(self.payload)
 
@@ -168,14 +169,12 @@ class Message:
         estimate-based model (fixed envelope overhead plus per-field estimate)
         only when the payload cannot be wire-encoded.
         """
-        from repro import wire
-
         try:
             payload_size = len(self.payload_wire())
-        except wire.UnsupportedWireTypeError:
+        except UnsupportedWireTypeError:
             _note_estimate_fallback(self.payload)
             return self.estimated_size_bytes()
-        return wire.message_envelope_size(self.sender, self.recipient, payload_size)
+        return message_envelope_size(self.sender, self.recipient, payload_size)
 
     def estimated_size_bytes(self) -> int:
         """The legacy constant-per-field cost model (envelope + payload estimate).

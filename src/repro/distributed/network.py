@@ -30,7 +30,10 @@ accounting:
 Under the all-zero fault plan the event-driven execution reproduces the legacy
 accounting model *exactly*: identical byte counts and bit-identical
 transmission times (downlink = max over stations, uplink = sum at the ingress),
-which the simulation-test harness pins.
+which the simulation-test harness pins.  Such a phase, with the default
+per-frame retransmit timeout, has nothing for the event loop to decide, so it
+runs straight through instead (:meth:`SimulatedNetwork._run_straight`) and
+records the transcript the event loop would.
 
 Every frame event is recorded as a
 :class:`~repro.distributed.events.TranscriptEntry`; the canonical transcript
@@ -408,9 +411,12 @@ class SimulatedNetwork(Transport):
             size_bytes=0,
         )
         self._transcript.append(phase_marker)
-        for transfer in transfers:
-            self._schedule_attempt(transfer, 0.0, retransmit=False)
-        self._loop.run()
+        if self._plan.is_fault_free and self._config.retransmit_timeout_s is None:
+            self._run_straight(transfers)
+        else:
+            for transfer in transfers:
+                self._schedule_attempt(transfer, 0.0, retransmit=False)
+            self._loop.run()
         failed = [t for t in transfers if not t.delivered]
         if failed and not self._allow_partial:
             labels = tuple(
@@ -435,6 +441,34 @@ class SimulatedNetwork(Transport):
             delivered_ids=tuple(t.station for t in transfers if t.delivered),
             failed_ids=tuple(t.station for t in transfers if not t.delivered),
         )
+
+    def _run_straight(self, transfers: list[_Transfer]) -> None:
+        """Run a phase nothing can perturb straight through, without the event loop.
+
+        Under a fault-free plan every frame is sent once and arrives, and the
+        per-frame retransmit timeout (``retransmit_timeout_s is None``) is never
+        shorter than the frame's transfer time, so each timer fires after its
+        frame was delivered and records nothing.  The event loop would pop
+        exactly the arrivals, in ``(arrival time, send order)`` order; this
+        method sends every frame with the same float expressions as
+        :meth:`_schedule_attempt` and delivers in that order, so the transcript,
+        the ledger and the delivery log are the event loop's, byte for byte.
+        Every arrival still goes through :meth:`_on_arrival`: the checksum
+        check and the receiver's real wire decode.
+        """
+        link_free = self._link_free
+        arrivals: list[tuple[float, int, _Transfer]] = []
+        for order, transfer in enumerate(transfers):
+            transfer.attempts = 1
+            start = max(0.0, link_free.get(transfer.link, 0.0))
+            arrival = start + self._config.transfer_time_s(transfer.size)
+            link_free[transfer.link] = arrival
+            self._charge(transfer)
+            self._record(start, "send", transfer, attempt=1)
+            arrivals.append((arrival, order, transfer))
+        arrivals.sort()
+        for arrival, _order, transfer in arrivals:
+            self._on_arrival(transfer, transfer.payload, arrival)
 
     def _charge(self, transfer: _Transfer) -> None:
         self._frames_sent += 1

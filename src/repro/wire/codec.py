@@ -112,26 +112,26 @@ TAG_VALUE = 0x0B
 
 _HEADER_SIZE = 7
 
-_KIND_CODES: dict[str, int] = {}
-_KIND_NAMES: dict[int, str] = {}
+#: ``(Message, kind -> wire code, kinds by wire code)``, loaded on first use.
+_MESSAGE_TYPES: "tuple[type, dict, tuple] | None" = None
 
 
-def _kind_tables() -> tuple[dict[str, int], dict[int, str]]:
-    """Message-kind wire codes, derived from ``MessageKind`` declaration order.
+def _message_types() -> "tuple[type, dict, tuple]":
+    """The message class and its kind wire codes, from ``MessageKind`` order.
 
     Deriving (instead of hand-maintaining a parallel table) means a new kind
     can never be encodable-but-undecodable; the flip side is that kinds must
     only ever be *appended* to the enum — reordering or removing one changes
-    existing codes and requires a ``WIRE_VERSION`` bump.  Populated lazily to
-    keep this module import-free of :mod:`repro.distributed`.
+    existing codes and requires a ``WIRE_VERSION`` bump.  Loaded lazily, once,
+    to keep this module import-free of :mod:`repro.distributed`.
     """
-    if not _KIND_CODES:
-        from repro.distributed.messages import MessageKind
+    global _MESSAGE_TYPES
+    if _MESSAGE_TYPES is None:
+        from repro.distributed.messages import Message, MessageKind
 
-        for code, kind in enumerate(MessageKind):
-            _KIND_CODES[kind.value] = code
-            _KIND_NAMES[code] = kind.value
-    return _KIND_CODES, _KIND_NAMES
+        kinds = tuple(MessageKind)
+        _MESSAGE_TYPES = (Message, {kind: code for code, kind in enumerate(kinds)}, kinds)
+    return _MESSAGE_TYPES
 
 
 # -- body encoders ---------------------------------------------------------------
@@ -490,38 +490,33 @@ def _read_report_columnar(reader: ByteReader) -> list:
 
 
 def _write_message_body(out: bytearray, message: object) -> None:
-    from repro.distributed.messages import Message
-
-    if not isinstance(message, Message):  # pragma: no cover - guarded by dispatch
-        raise UnsupportedWireTypeError(f"expected Message, got {type(message).__name__}")
-    kind_codes, _ = _kind_tables()
+    # Reached through _dispatch, which classified ``message`` as a Message and
+    # so loaded the kind table.
     write_str(out, message.sender)
     write_str(out, message.recipient)
-    write_u8(out, kind_codes[message.kind.value])
+    out.append(_MESSAGE_TYPES[1][message.kind])
     # The message memoizes its payload encoding, so cost accounting and
     # envelope construction within one round share a single payload encode.
     write_bytes(out, message.payload_wire())
 
 
 def _read_message_body(reader: ByteReader, backend: str):
-    from repro.distributed.messages import Message, MessageKind
-
+    message_type, _, kinds = _MESSAGE_TYPES or _message_types()
     sender = reader.str_()
     recipient = reader.str_()
     kind_code = reader.u8()
-    _, kind_names = _kind_tables()
-    if kind_code not in kind_names:
+    if kind_code >= len(kinds):
         raise WireFormatError(f"unknown message kind code {kind_code}")
     payload_block = reader.bytes_()
     payload = _decode_payload_cached(payload_block, backend)
-    return Message(
-        sender=sender,
-        recipient=recipient,
-        kind=MessageKind(kind_names[kind_code]),
-        payload=payload,
-        # Recover the hop's negotiated payload-frame version so a decoded
-        # message compares equal to the one the sender built.
-        wire_version=payload_block[4] if len(payload_block) > 4 else WIRE_VERSION,
+    # Recover the hop's negotiated payload-frame version so a decoded message
+    # compares equal to the one the sender built.
+    return message_type(
+        sender,
+        recipient,
+        kinds[kind_code],
+        payload,
+        payload_block[4] if len(payload_block) > 4 else WIRE_VERSION,
     )
 
 
@@ -596,10 +591,19 @@ _READERS: dict[int, Callable[[ByteReader, str], object]] = {
 }
 
 
-def _dispatch(obj: object) -> tuple[int, Callable[[bytearray, object], None]]:
-    """Map an object to its wire tag and body writer."""
+def _write_nothing(out: bytearray, obj: object) -> None:
+    """The empty body of ``None``."""
+
+
+#: Exact type -> (tag, body writer), filled by :func:`_dispatch` as it meets
+#: each type.  Tuples are never entered: their tag depends on their items.
+_DISPATCH_BY_TYPE: dict[type, tuple[int, Callable[[bytearray, object], None]]] = {}
+
+
+def _classify(obj: object) -> tuple[int, Callable[[bytearray, object], None]]:
+    """The tag and body writer of ``obj``, by the protocol vocabulary's rules."""
     if obj is None:
-        return TAG_NONE, lambda out, _obj: None
+        return TAG_NONE, _write_nothing
     if isinstance(obj, WeightedBloomFilter):
         return TAG_WBF, _write_wbf_body
     if isinstance(obj, BloomFilter):
@@ -619,14 +623,26 @@ def _dispatch(obj: object) -> tuple[int, Callable[[bytearray, object], None]]:
     if isinstance(obj, list):
         return TAG_OBJECT_LIST, _write_object_list_body
     type_name = type(obj).__name__
-    if type_name == "Message":  # lazy: avoid importing repro.distributed at module load
-        from repro.distributed.messages import Message
-
-        if isinstance(obj, Message):
-            return TAG_MESSAGE, _write_message_body
+    # Checked by name first so that no other type imports repro.distributed.
+    if type_name == "Message" and isinstance(obj, _message_types()[0]):
+        return TAG_MESSAGE, _write_message_body
     if isinstance(obj, (bool, int, float, str, bytes, bytearray, Fraction, tuple)):
         return TAG_VALUE, _write_value_body
     raise UnsupportedWireTypeError(f"no wire encoding for objects of type {type_name}")
+
+
+def _dispatch(obj: object) -> tuple[int, Callable[[bytearray, object], None]]:
+    """Map an object to its wire tag and body writer.
+
+    The answer depends only on the exact type for everything but tuples, so
+    it is looked up per type after the first object of that type.
+    """
+    found = _DISPATCH_BY_TYPE.get(type(obj))
+    if found is None:
+        found = _classify(obj)
+        if not isinstance(obj, tuple):
+            _DISPATCH_BY_TYPE[type(obj)] = found
+    return found
 
 
 def _read_body(tag: int, reader: ByteReader, backend: str) -> object:

@@ -6,15 +6,26 @@ these properties pin it to the reference semantics — per-position
 :meth:`query_weights_at` intersection — including across mutations (the index
 is revision-keyed) and across a wire round-trip (decoded filters share
 interned frozensets).
+
+The matcher runs the probe without a bit pre-check, which is sound only while
+the index has keys at set bits alone; the last two families pin that
+invariant and the matcher's reports against the switch-off path.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import wire
+from repro.bloom.backend import available_backends, iter_set_bits_in_bytes
+from repro.core.config import DIMatchingConfig
+from repro.core.encoder import PatternEncoder
+from repro.core.matcher import BaseStationMatcher
 from repro.core.wbf import WeightedBloomFilter
+from repro.timeseries.pattern import LocalPattern, PatternSet
+from repro.timeseries.query import QueryPattern
 
 weights_strategy = st.tuples(
     st.sampled_from(["q1", "q2", "q3"]),
@@ -116,3 +127,118 @@ class TestMaskProbeEquivalence:
             mirror.add(item, weight)
         mirror.add(extra_item, extra_weight)
         assert decoded == mirror
+
+
+def set_bits(wbf: WeightedBloomFilter) -> set[int]:
+    return set(iter_set_bits_in_bytes(wbf._bits.to_bytes(), wbf.bit_count))
+
+
+def mask_index_keys(wbf: WeightedBloomFilter) -> set[int]:
+    _revision, _weights, masks, _memo = wbf._weight_mask_index()
+    return set(masks)
+
+
+@contextmanager
+def mask_index_disabled():
+    WeightedBloomFilter.MASK_INDEX_ENABLED = False
+    try:
+        yield
+    finally:
+        WeightedBloomFilter.MASK_INDEX_ENABLED = True
+
+
+class TestMaskIndexOnSetBitsOnly:
+    @given(
+        entries=entries_strategy,
+        batches=st.lists(
+            st.tuples(st.lists(st.integers(0, 400), max_size=12), weights_strategy),
+            max_size=4,
+        ),
+        backend=st.sampled_from(available_backends()),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_keys_are_set_bits(self, entries, batches, backend):
+        wbf = WeightedBloomFilter(256, 3, backend=backend)
+        for item, weight in entries:
+            wbf.add(item, weight)
+        assert mask_index_keys(wbf) <= set_bits(wbf)
+        for items, weight in batches:
+            wbf.insert_many(items, weight)
+        assert mask_index_keys(wbf) <= set_bits(wbf)
+        for decode_backend in available_backends():
+            decoded = wire.decode(wire.encode(wbf), backend=decode_backend)
+            assert mask_index_keys(decoded) <= set_bits(decoded)
+            assert mask_index_keys(decoded) == mask_index_keys(wbf)
+
+
+#: Candidate values: a narrow range, so stations hold many equal fragments
+#: and queries share fragments (several weights per candidate).
+PATTERN_LENGTH = 6
+fragment_values = st.lists(st.integers(0, 3), min_size=PATTERN_LENGTH, max_size=PATTERN_LENGTH)
+
+
+@st.composite
+def station_and_queries(draw, candidates: int):
+    """``candidates`` local patterns at ``s0`` and queries over some of them."""
+    values = draw(st.lists(fragment_values, min_size=candidates, max_size=candidates))
+    patterns = PatternSet(
+        [LocalPattern(f"u{index}", row, "s0") for index, row in enumerate(values)]
+    )
+    query_count = draw(st.integers(1, 4))
+    queries = []
+    for number in range(query_count):
+        here = values[draw(st.integers(0, candidates - 1))]
+        # Non-zero, so the query's global pattern is never all zero.
+        elsewhere = draw(
+            st.lists(st.integers(1, 3), min_size=PATTERN_LENGTH, max_size=PATTERN_LENGTH)
+        )
+        user = f"target{number}"
+        queries.append(
+            QueryPattern(
+                f"q{number}",
+                [LocalPattern(user, here, "s0"), LocalPattern(user, elsewhere, "s1")],
+            )
+        )
+    return patterns, queries
+
+
+def _check_matcher_parity(patterns, queries, bit_count, backend):
+    config = DIMatchingConfig(
+        sample_count=4,
+        hash_count=3,
+        auto_size=False,
+        bit_count=bit_count,
+        bit_backend=backend,
+    )
+    batch = PatternEncoder(config).encode_batch(queries)
+    for decode_backend in available_backends():
+        decoded = wire.decode(wire.encode(batch), backend=decode_backend)
+        for artifact in (batch, decoded):
+            reports = BaseStationMatcher(config, "s0", patterns).match_against(artifact)
+            with mask_index_disabled():
+                reference = BaseStationMatcher(config, "s0", patterns).match_against(
+                    artifact
+                )
+            assert reports == reference
+
+
+class TestMatcherEqualsSwitchOffPath:
+    @given(
+        case=station_and_queries(1),
+        bit_count=st.sampled_from([64, 512, 4096]),
+        backend=st.sampled_from(available_backends()),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_candidate_station(self, case, bit_count, backend):
+        patterns, queries = case
+        _check_matcher_parity(patterns, queries, bit_count, backend)
+
+    @given(
+        case=station_and_queries(200),
+        bit_count=st.sampled_from([64, 512, 4096]),
+        backend=st.sampled_from(available_backends()),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_two_hundred_candidate_station(self, case, bit_count, backend):
+        patterns, queries = case
+        _check_matcher_parity(patterns, queries, bit_count, backend)

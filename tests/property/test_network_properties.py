@@ -11,11 +11,15 @@ Three families, over randomized fault plans and message batches:
    :class:`~repro.wire.errors.WireFormatError` in the decode path or is caught
    by the link-layer checksum; an accepted message is always exactly the one
    that was sent, so corruption can never surface as wrong matches.
+
+A fourth pins the straight-line phase a fault-free network runs to the event
+loop every other plan runs.
 """
 
 import zlib
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,3 +172,77 @@ def test_fault_free_plan_never_retransmits():
     assert stats.goodput_fraction == 1.0
     assert len(center.inbox) == 5
     assert outcome.failed_ids == ()
+
+
+#: Never perturbs a frame (its straggler multiplier is 1.0), but is not
+#: ``is_fault_free``, so the network runs its phases on the event loop.
+INERT_PLAN = FaultPlan(name="inert", straggler_probability=1.0)
+
+stations = st.sampled_from(["s0", "s1", "s2"])
+phase_payloads = st.one_of(
+    st.none(),
+    st.lists(reports, max_size=3),
+    identifiers,
+    st.binary(max_size=600),
+    # Outside the wire vocabulary: delivered as the object, sized by estimate.
+    st.dictionaries(identifiers, st.integers(0, 9), max_size=3),
+)
+#: Each send: (station, payload, whether a receiver node takes the delivery).
+phase_sends = st.lists(st.tuples(stations, phase_payloads, st.booleans()), max_size=8)
+phase_scripts = st.lists(
+    st.tuples(st.sampled_from(["downlink", "uplink"]), phase_sends), min_size=1, max_size=4
+)
+link_configs = st.builds(
+    NetworkConfig,
+    # A slow link makes frame sizes matter; zero latency puts each per-frame
+    # timer at the very instant its frame arrives.
+    bandwidth_bytes_per_s=st.sampled_from([1_000.0, 2_000_000.0]),
+    latency_s=st.sampled_from([0.0, 0.02]),
+    max_attempts=st.integers(1, 3),
+)
+
+
+def _run_script(plan: FaultPlan, config: NetworkConfig, script):
+    """Run ``script``'s phases on a fresh network; return what it observed."""
+    network = SimulatedNetwork(config, fault_plan=plan, seed=3)
+    nodes: dict[str, Node] = {}
+    outcomes = []
+    for direction, sends in script:
+        batch = []
+        for station, payload, addressed in sends:
+            if direction == "downlink":
+                message = Message("center", station, MessageKind.FILTER_DISSEMINATION, payload)
+            else:
+                message = Message(station, "center", MessageKind.MATCH_REPORT, payload)
+            receiver = message.recipient
+            batch.append(
+                (message, nodes.setdefault(receiver, Node(receiver)) if addressed else None)
+            )
+        run = network.broadcast if direction == "downlink" else network.gather
+        outcomes.append(run(batch))
+    return network, nodes, outcomes
+
+
+class TestStraightLinePhase:
+    @pytest.mark.filterwarnings("ignore:Message byte accounting fell back")
+    @given(config=link_configs, script=phase_scripts)
+    @settings(max_examples=80, deadline=None)
+    def test_fault_free_phase_equals_the_event_loop(self, config, script):
+        straight, straight_nodes, straight_outcomes = _run_script(FaultPlan(), config, script)
+        looped, looped_nodes, looped_outcomes = _run_script(INERT_PLAN, config, script)
+        assert straight_outcomes == looped_outcomes
+        assert straight.transcript_bytes() == looped.transcript_bytes()
+        assert straight.frame_stats() == looped.frame_stats()
+        assert straight.frame_stats().retransmit_count == 0
+        for direction in ("downlink", "uplink"):
+            assert straight.delivered_payloads(direction) == looped.delivered_payloads(
+                direction
+            )
+        assert list(straight.message_log) == list(looped.message_log)
+        assert straight.message_count == looped.message_count
+        assert straight.downlink_bytes == looped.downlink_bytes
+        assert straight.uplink_bytes == looped.uplink_bytes
+        assert straight.transmission_time_s() == looped.transmission_time_s()
+        assert {name: node.inbox for name, node in straight_nodes.items()} == {
+            name: node.inbox for name, node in looped_nodes.items()
+        }

@@ -107,6 +107,26 @@ class TestMatchAgainst:
         with pytest.raises(MatchingError, match="sample counts differ"):
             matcher.match_against(encoded)
 
+    def test_reports_of_one_candidate_follow_query_then_weight_order(self, config):
+        # One fragment shared by six queries: its reports come out ordered by
+        # query id, not in the (string-hash seeded) order of a set.
+        shared = [0, 0, 0, 3]
+        queries = [
+            QueryPattern(
+                f"q{number}",
+                [
+                    LocalPattern(f"t{number}", shared, "bs-1"),
+                    LocalPattern(f"t{number}", [1, 1, number % 3 + 1, 3], "bs-2"),
+                ],
+            )
+            for number in (4, 1, 5, 0, 3, 2)
+        ]
+        encoded = PatternEncoder(config).encode_batch(queries)
+        matcher = BaseStationMatcher(config, "bs-1", PatternSet([LocalPattern("u", shared, "bs-1")]))
+        reports = matcher.match_against(encoded)
+        assert [r.query_id for r in reports] == [f"q{number}" for number in range(6)]
+        assert reports == sorted(reports, key=lambda r: (r.query_id, r.weight))
+
     def test_position_cache_reset_between_filters(self, config):
         # Two filters with different sizes must not share cached positions.
         small = PatternEncoder(config.with_updates(bits_per_element=8)).encode_batch([_query()])

@@ -116,3 +116,32 @@ class TestIntrospection:
 
     def test_repr(self):
         assert "WeightedBloomFilter" in repr(WeightedBloomFilter(64, 2))
+
+
+class TestFromState:
+    def _state(self, backend="python"):
+        wbf = WeightedBloomFilter(64, 2, seed=1, backend=backend)
+        wbf.add("a", Fraction(1, 2))
+        bits = wbf._bits.to_bytes()
+        weights = {position: frozenset(attached) for position, attached in wbf.weight_entries()}
+        return wbf, bits, weights
+
+    def test_round_trips_consistent_state(self):
+        wbf, bits, weights = self._state()
+        rebuilt = WeightedBloomFilter.from_state(64, 2, 1, bits, weights, wbf.item_count)
+        assert rebuilt == wbf
+
+    @pytest.mark.parametrize("backend", ["python", "auto"])
+    def test_weight_on_a_clear_bit_is_rejected(self, backend):
+        wbf, bits, weights = self._state()
+        clear = next(p for p in range(64) if not bits[p >> 3] >> (p & 7) & 1)
+        weights[clear] = frozenset({Fraction(1, 2)})
+        with pytest.raises(ValueError, match=f"bit {clear}, which is not set"):
+            WeightedBloomFilter.from_state(64, 2, 1, bits, weights, 1, backend=backend)
+
+    @pytest.mark.parametrize("position", [-1, 64, 1000])
+    def test_weight_outside_the_filter_is_rejected(self, position):
+        _wbf, bits, weights = self._state()
+        weights[position] = frozenset({Fraction(1, 2)})
+        with pytest.raises(ValueError, match="which is not set"):
+            WeightedBloomFilter.from_state(64, 2, 1, bits, weights, 1)

@@ -1,5 +1,7 @@
 """Unit tests for the deterministic event-driven network."""
 
+import hashlib
+
 import pytest
 
 from repro.distributed.events import RoundTimeoutError
@@ -183,6 +185,36 @@ class TestReliability:
         assert stats.frames_duplicate == 4
         # The duplicate emissions were charged on the wire.
         assert stats.payload_bytes_sent == 2 * stats.payload_bytes_delivered
+
+    def test_short_fixed_timeout_keeps_the_event_loop(self):
+        # A fault-free plan, but a fixed 1 ms timer: it fires long before a
+        # 5,000-byte frame (22.5 ms on the default link) arrives, so every
+        # transfer retransmits once and its second copy lands as a duplicate.
+        # A phase run straight through, without timers, would show none of it.
+        stations = [Node(f"bs-{i}") for i in range(3)]
+        sends = [
+            (
+                Message(
+                    "center", node.node_id, MessageKind.FILTER_DISSEMINATION, bytes(4968)
+                ),
+                node,
+            )
+            for node in stations
+        ]
+        assert all(len(message.to_wire()) == 5000 for message, _ in sends)
+        network = SimulatedNetwork(
+            NetworkConfig(retransmit_timeout_s=0.001), fault_plan=FaultPlan()
+        )
+        outcome = network.broadcast(sends)
+        stats = network.frame_stats()
+        assert (stats.frames_sent, stats.retransmit_count, stats.frames_duplicate) == (6, 3, 3)
+        assert stats.frames_delivered == 3
+        assert [len(node.inbox) for node in stations] == [1, 1, 1]
+        assert outcome.duration_s == 0.0225
+        assert (
+            hashlib.sha256(network.transcript_bytes()).hexdigest()
+            == "d67d893f620a5e87a128be2a05d8a2f574494d5df861c5f4e990facdaa2d6ca3"
+        )
 
     def test_straggler_multiplier_slows_the_link(self):
         fast = SimulatedNetwork(NetworkConfig())
